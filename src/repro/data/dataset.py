@@ -76,7 +76,12 @@ class DataLoader:
             return n // self.batch_size
         return (n + self.batch_size - 1) // self.batch_size
 
-    def __iter__(self) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
+    def batch_indices(self) -> Iterator[np.ndarray]:
+        """Dataset row indices of each mini-batch, in iteration order.
+
+        Iterating the loader loads exactly these batches; like an
+        iteration, each call draws a fresh shuffle.
+        """
         n = len(self.dataset)
         order = np.arange(n)
         if self.shuffle:
@@ -85,11 +90,19 @@ class DataLoader:
             indices = order[start : start + self.batch_size]
             if self.drop_last and len(indices) < self.batch_size:
                 break
-            images = self.dataset.images[indices]
-            labels = self.dataset.labels[indices]
-            if self.dataset.transform is not None:
-                images = self.dataset.transform(images, self._rng)
-            yield images, labels
+            yield indices
+
+    def load(self, indices: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """The ``(images, labels)`` batch of the given rows, transformed."""
+        images = self.dataset.images[indices]
+        labels = self.dataset.labels[indices]
+        if self.dataset.transform is not None:
+            images = self.dataset.transform(images, self._rng)
+        return images, labels
+
+    def __iter__(self) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
+        for indices in self.batch_indices():
+            yield self.load(indices)
 
 
 def train_val_test_split(

@@ -44,8 +44,8 @@ class MinMaxObserver:
             low = float(values.min())
             high = float(values.max())
         else:
-            low = float(np.percentile(values, 100.0 - self.percentile))
-            high = float(np.percentile(values, self.percentile))
+            bounds = [100.0 - self.percentile, self.percentile]
+            low, high = np.percentile(values, bounds).tolist()
         self.min_value = min(self.min_value, low)
         self.max_value = max(self.max_value, high)
         self.num_batches += 1

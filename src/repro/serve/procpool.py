@@ -69,6 +69,9 @@ from repro.serve.engine import (
 )
 from repro.serve.pool import EnginePool, ScaleEvent, _EngineSlot
 
+#: Bound on joining a closed worker's reader thread (it only has EOF left).
+_READER_JOIN_S = 5.0
+
 # ----------------------------------------------------------------------
 # Wire format (struct-framed, little-endian, no pickle)
 # ----------------------------------------------------------------------
@@ -517,6 +520,10 @@ class ProcessWorkerHandle:
                 f"worker process still running after {timeout} s "
                 f"(draining={drain}); call close() again to keep waiting"
             )
+        # The worker has exited, so the reader reaches EOF; let it finish
+        # before the pipe closes under it (closing mid-``recv_bytes`` kills
+        # the reader with a TypeError instead of a clean EOF).
+        self._reader.join(_READER_JOIN_S)
         try:
             self.conn.close()
         except OSError:

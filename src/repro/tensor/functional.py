@@ -1,10 +1,10 @@
 """Differentiable neural-network operations built on :class:`~repro.tensor.Tensor`.
 
-Contains the convolution / pooling kernels (im2col based) and the
-numerically stable softmax-family primitives used by the losses. Each
-primitive registers a closed-form backward closure; composite functions
-(cross entropy, KL divergence) are assembled from primitives so their
-gradients follow automatically.
+Contains the convolution (im2col based), pooling and training batch-norm
+kernels and the numerically stable softmax-family primitives used by the
+losses. Each primitive registers a closed-form backward closure;
+composite functions (cross entropy, KL divergence) are assembled from
+primitives so their gradients follow automatically.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from typing import Optional, Tuple, Union
 
 import numpy as np
 
-from repro.tensor.tensor import Tensor
+from repro.tensor.tensor import Tensor, _axis_size, unbroadcast
 
 IntPair = Union[int, Tuple[int, int]]
 
@@ -139,9 +139,12 @@ def conv2d(
 
     def backward(grad):
         grad2 = grad.reshape(n, c_out, oh * ow)
+        # matmul(...).sum(0) would not be bit-exact with this einsum.
         grad_w = np.einsum("nfo,nko->fk", grad2, cols, optimize=True)
-        grad_cols = np.einsum("fk,nfo->nko", w2, grad2, optimize=True)
-        grad_x = col2im(grad_cols, x.shape, (kh, kw), stride, padding)
+        grad_x = None  # the network input (first conv) needs no gradient
+        if x.requires_grad:
+            grad_cols = np.matmul(w2.T, grad2)
+            grad_x = col2im(grad_cols, x.shape, (kh, kw), stride, padding)
         results = [(x, grad_x), (weight, grad_w.reshape(weight.shape))]
         if bias is not None:
             results.append((bias, grad2.sum(axis=(0, 2))))
@@ -153,29 +156,49 @@ def conv2d(
 # ----------------------------------------------------------------------
 # Pooling
 # ----------------------------------------------------------------------
+def _pool_views(
+    data: np.ndarray, kernel: Tuple[int, int], stride: Tuple[int, int], oh: int, ow: int
+) -> list:
+    """The KH*KW strided ``(N, C, OH, OW)`` views of a pooling window, in
+    (i, j) order — the order im2col lays out a column."""
+    sh, sw = stride
+    return [
+        data[:, :, i : i + sh * oh : sh, j : j + sw * ow : sw]
+        for i in range(kernel[0])
+        for j in range(kernel[1])
+    ]
+
+
 def max_pool2d(x: Tensor, kernel: IntPair, stride: Optional[IntPair] = None) -> Tensor:
-    """Max pooling over NCHW input."""
+    """Max pooling over NCHW input.
+
+    The forward is a running ``np.maximum`` over the window's strided
+    views, so no im2col copy of the input is made. The backward routes
+    each output's gradient to the *first* maximum of its window in
+    (i, j) order (``argmax`` semantics) and accumulates into the input
+    views in col2im's order, so overlapping windows sum bit-exactly as
+    an im2col/col2im pool would. A window whose maximum is NaN routes no
+    gradient.
+    """
     kernel = _pair(kernel)
     stride = kernel if stride is None else _pair(stride)
-    n, c, h, w = x.shape
-    kh, kw = kernel
-    oh = conv_output_size(h, kh, stride[0], 0)
-    ow = conv_output_size(w, kw, stride[1], 0)
+    h, w = x.shape[2:]
+    oh = conv_output_size(h, kernel[0], stride[0], 0)
+    ow = conv_output_size(w, kernel[1], stride[1], 0)
 
-    flat = x.data.reshape(n * c, 1, h, w)
-    cols = im2col(flat, kernel, stride, (0, 0))  # (N*C, KH*KW, OH*OW)
-    out = cols.max(axis=1).reshape(n, c, oh, ow)
+    views = _pool_views(x.data, kernel, stride, oh, ow)
+    out = views[0].copy()
+    for view in views[1:]:
+        np.maximum(out, view, out=out)
 
     def backward(grad):
-        # The winner indices are only needed for the gradient, so they
-        # are recomputed lazily here — eval/no_grad forwards (search
-        # evaluator, serving engine) never pay the argmax.
-        arg = cols.argmax(axis=1)  # (N*C, OH*OW)
-        grad_flat = grad.reshape(n * c, 1, oh * ow)
-        grad_cols = np.zeros_like(cols)
-        np.put_along_axis(grad_cols, arg[:, None, :], grad_flat, axis=1)
-        grad_x = col2im(grad_cols, (n * c, 1, h, w), kernel, stride, (0, 0))
-        return ((x, grad_x.reshape(x.shape)),)
+        grad_x = np.zeros_like(x.data)
+        unclaimed = np.ones(out.shape, dtype=bool)
+        for view, grad_view in zip(views, _pool_views(grad_x, kernel, stride, oh, ow)):
+            winner = (view == out) & unclaimed
+            unclaimed &= ~winner
+            grad_view += grad * winner
+        return ((x, grad_x),)
 
     return Tensor._make(out, (x,), backward, "max_pool2d")
 
@@ -206,6 +229,62 @@ def avg_pool2d(x: Tensor, kernel: IntPair, stride: Optional[IntPair] = None) -> 
 def global_avg_pool2d(x: Tensor) -> Tensor:
     """Average over the full spatial extent, returning ``(N, C)``."""
     return x.mean(axis=(2, 3))
+
+
+# ----------------------------------------------------------------------
+# Batch normalisation (training mode)
+# ----------------------------------------------------------------------
+def batch_norm(
+    x: Tensor,
+    weight: Tensor,
+    bias: Tensor,
+    axes: Tuple[int, ...],
+    eps: float,
+) -> Tuple[Tensor, np.ndarray, np.ndarray]:
+    """Training-mode batch norm with batch statistics over ``axes``.
+
+    Returns ``(out, mean, var)``: the normalised, affine-transformed
+    output and the biased batch statistics (keepdims shape) for the
+    running averages.
+
+    One autograd node that repeats, operation for operation, the
+    composite graph ``(x - mean(x)) * (var(x) + eps) ** -0.5 * w + b``
+    with ``var(x) = mean((x - mean(x)) ** 2)``, so forward and gradients
+    are bit-identical to it. In particular x's gradient sums the four
+    paths in the order the composite's backward visits them: the
+    ``x - mean`` path, its ``mean``, the centred path of the variance,
+    then its ``mean``.
+    """
+    shape = tuple(x.shape[a] if a not in axes else 1 for a in range(x.ndim))
+    count = _axis_size(x.shape, axes)
+    mean = x.data.mean(axis=axes, keepdims=True)
+    centered = x.data - mean
+    var = (centered * centered).mean(axis=axes, keepdims=True)
+    var_eps = var + np.asarray(eps)  # a 0-d array promotes as Tensor(eps) did
+    inv_std = np.power(var_eps, -0.5)
+    normalized = centered * inv_std
+    w = weight.data.reshape(shape)
+    out = normalized * w + bias.data.reshape(shape)
+
+    def backward(grad):
+        grad_bias = unbroadcast(grad, shape).reshape(bias.shape)
+        grad_weight = unbroadcast(grad * normalized, shape).reshape(weight.shape)
+        grad_x = None
+        if x.requires_grad:
+            # A mean's gradient is the composite's expanded copy divided by
+            # ``count``; dividing the reduced array and broadcasting gives
+            # the same value in every element, without the full-size copy.
+            grad_norm = grad * w
+            grad_centered = grad_norm * inv_std
+            grad_inv_std = unbroadcast(grad_norm * centered, shape)
+            grad_var = grad_inv_std * -0.5 * np.power(var_eps, -1.5)
+            grad_var_centered = 2.0 * ((grad_var / count) * centered)
+            grad_x = grad_centered + unbroadcast(-grad_centered, shape) / count
+            grad_x += grad_var_centered
+            grad_x += unbroadcast(-grad_var_centered, shape) / count
+        return ((x, grad_x), (weight, grad_weight), (bias, grad_bias))
+
+    return Tensor._make(out, (x, weight, bias), backward, "batch_norm"), mean, var
 
 
 # ----------------------------------------------------------------------

@@ -95,7 +95,9 @@ class Trainer:
         Either ``loss_fn(logits, labels)`` or, when ``teacher`` is set,
         ``loss_fn(logits, labels, teacher_logits)`` (distillation).
     teacher:
-        Optional frozen teacher evaluated under ``no_grad`` each batch.
+        Optional frozen teacher. Its logits over the training set are
+        computed once per :meth:`fit` (:meth:`teacher_logits`), so the
+        training dataset must not carry a transform.
     scheduler:
         Optional LR scheduler stepped once per epoch.
     epoch_callback:
@@ -154,21 +156,61 @@ class Trainer:
         if self.teacher is not None:
             self.teacher.eval()
 
-    def train_epoch(self, loader) -> EpochMetrics:
-        """One optimisation pass over the loader."""
+    def teacher_logits(self, loader) -> Optional[np.ndarray]:
+        """The frozen teacher's logits for every row of ``loader.dataset``.
+
+        The teacher is in eval mode and never updated, so its logits are
+        the same every epoch: they are computed once, under ``no_grad``,
+        in dataset order and in chunks of ``loader.batch_size``, and each
+        step looks its rows up by index. ``None`` without a teacher.
+        Raises ``ValueError`` for a dataset with a transform: cached
+        logits of the raw images would silently skip the augmentation.
+        """
+        if self.teacher is None:
+            return None
+        dataset = loader.dataset
+        if dataset.transform is not None:
+            raise ValueError(
+                "a distillation teacher needs an untransformed dataset: its "
+                "logits are cached per row, which would skip the augmentation"
+            )
+        step = loader.batch_size
+        with no_grad():
+            chunks = [
+                self.teacher(Tensor(dataset.images[start : start + step])).data
+                for start in range(0, len(dataset), step)
+            ]
+        if not chunks:
+            raise ValueError("loader produced no batches")
+        return np.concatenate(chunks)
+
+    def _batches(self, loader, teacher_logits: Optional[np.ndarray]):
+        """``(images, labels, teacher_args)`` per batch, where
+        ``teacher_args`` is ``(teacher_logits,)``, or ``()`` without a
+        teacher: the loss function's trailing arguments."""
+        if self.teacher is None:
+            for images, labels in loader:
+                yield images, labels, ()
+            return
+        if teacher_logits is None:
+            teacher_logits = self.teacher_logits(loader)
+        for indices in loader.batch_indices():
+            images, labels = loader.load(indices)
+            yield images, labels, (Tensor(teacher_logits[indices]),)
+
+    def train_epoch(self, loader, teacher_logits: Optional[np.ndarray] = None) -> EpochMetrics:
+        """One optimisation pass over the loader.
+
+        ``teacher_logits`` is :meth:`teacher_logits` of this loader, when
+        the caller already has it (``fit`` computes it once per run).
+        """
         self.model.train()
         total_loss = 0.0
         total_correct = 0
         total = 0
-        for images, labels in loader:
-            inputs = Tensor(images)
-            logits = self.model(inputs)
-            if self.teacher is not None:
-                with no_grad():
-                    teacher_logits = self.teacher(inputs)
-                loss = self.loss_fn(logits, labels, teacher_logits)
-            else:
-                loss = self.loss_fn(logits, labels)
+        for images, labels, teacher_args in self._batches(loader, teacher_logits):
+            logits = self.model(Tensor(images))
+            loss = self.loss_fn(logits, labels, *teacher_args)
             self.optimizer.zero_grad()
             loss.backward()
             if self._adaptive_clipper is not None:
@@ -184,21 +226,16 @@ class Trainer:
             raise ValueError("loader produced no batches")
         return EpochMetrics(total_loss / total, total_correct / total, total)
 
-    def training_loss(self, loader) -> float:
+    def training_loss(self, loader, teacher_logits: Optional[np.ndarray] = None) -> float:
         """Mean training loss over a loader without updating weights."""
         was_training = self.model.training
         self.model.eval()
         total_loss = 0.0
         total = 0
         with no_grad():
-            for images, labels in loader:
-                inputs = Tensor(images)
-                logits = self.model(inputs)
-                if self.teacher is not None:
-                    teacher_logits = self.teacher(inputs)
-                    loss = self.loss_fn(logits, labels, teacher_logits)
-                else:
-                    loss = self.loss_fn(logits, labels)
+            for images, labels, teacher_args in self._batches(loader, teacher_logits):
+                logits = self.model(Tensor(images))
+                loss = self.loss_fn(logits, labels, *teacher_args)
                 batch = len(labels)
                 total_loss += float(loss.data) * batch
                 total += batch
@@ -218,14 +255,15 @@ class Trainer:
         history = History()
         best_loss = float("inf")
         best_state = None
+        teacher_logits = self.teacher_logits(train_loader)
         if self.divergence_rollback:
             # Reference point: the untouched model. A first epoch that
             # *worsens* this is already a divergence (the dead-network
             # failure happens within one epoch).
-            best_loss = self.training_loss(train_loader)
+            best_loss = self.training_loss(train_loader, teacher_logits)
             best_state = self.model.state_dict()
         for epoch in range(epochs):
-            train_metrics = self.train_epoch(train_loader)
+            train_metrics = self.train_epoch(train_loader, teacher_logits)
             history.train.append(train_metrics)
             if self.divergence_rollback:
                 loss = train_metrics.loss

@@ -158,6 +158,26 @@ class TestDataLoader:
         with pytest.raises(ValueError):
             self.make(batch_size=0)
 
+    def test_batch_indices_drive_iteration(self):
+        """Iterating equals ``load(batch_indices())`` with the same RNG
+        draws (shuffle, then the transform per batch)."""
+
+        def make():
+            images = np.arange(10, dtype=np.float64).reshape(10, 1)
+            noisy = ArrayDataset(
+                images, np.arange(10), transform=lambda x, rng: x + rng.random(x.shape)
+            )
+            return DataLoader(noisy, batch_size=3, shuffle=True, seed=3)
+
+        iterated, indexed = make(), make()
+        for _ in range(2):  # a fresh shuffle per pass, in both
+            batches = list(iterated)
+            indices = list(indexed.batch_indices())
+            assert len(batches) == len(indices) == 4
+            for (images, labels), rows in zip(batches, indices):
+                np.testing.assert_array_equal(labels, rows)
+                np.testing.assert_array_equal(images, indexed.load(rows)[0])
+
 
 class TestTransforms:
     def test_flip_all(self, rng):

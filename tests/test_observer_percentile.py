@@ -32,6 +32,14 @@ class TestPercentileObserver:
         obs.observe(values)
         assert obs.max_value == pytest.approx(values.max())
 
+    @pytest.mark.parametrize("percentile", [50.0, 97.3, 99.9, 100.0])
+    def test_range_equals_two_percentile_calls(self, percentile):
+        values = np.random.default_rng(2).standard_normal((16, 3, 5, 5)) * 3.7
+        obs = MinMaxObserver(percentile=percentile)
+        obs.observe(values)
+        assert obs.min_value == float(np.percentile(values, 100.0 - percentile))
+        assert obs.max_value == float(np.percentile(values, percentile))
+
     def test_invalid_percentile_raises(self):
         with pytest.raises(ValueError):
             MinMaxObserver(percentile=0.0)

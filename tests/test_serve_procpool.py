@@ -205,6 +205,40 @@ class TestProcessPoolServing:
         finally:
             pool.close(drain=True, timeout=30)
 
+    def test_close_joins_each_reader_before_closing_its_pipe(self, mlp_artifact):
+        """A reader still inside ``recv_bytes`` when its pipe closes dies
+        with a TypeError; close() waits for the reader's EOF first. Each
+        reader here is made slow to act on EOF, so a close() that did not
+        wait would return with the readers still running."""
+
+        class SlowEOFConn:
+            def __init__(self, conn):
+                self._conn = conn
+
+            def __getattr__(self, name):
+                return getattr(self._conn, name)
+
+            def recv_bytes(self):
+                try:
+                    return self._conn.recv_bytes()
+                except EOFError:
+                    time.sleep(0.5)
+                    raise
+
+        cache = ArtifactCache()
+        pool = ProcessEnginePool(mlp_artifact, cache, workers=2, batch_window_s=0.0)
+        handles = list(pool.engines)
+        for handle in handles:
+            # Picked up by each reader's next receive, after an answer.
+            handle.conn = SlowEOFConn(handle.conn)
+        try:
+            replay_pool(pool, np.random.default_rng(3).standard_normal((4, 3, 8, 8)))
+        finally:
+            pool.close(drain=True, timeout=30)
+        for handle in handles:
+            assert handle.conn.closed
+            assert not handle._reader.is_alive()
+
     def test_is_an_engine_pool(self, mlp_artifact):
         assert issubclass(ProcessEnginePool, EnginePool)
         assert ProcessEnginePool.supports_chaos

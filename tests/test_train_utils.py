@@ -105,6 +105,85 @@ class TestTrainer:
         assert np.isnan(history.best_val_accuracy)
 
 
+class TestTeacherLogitCache:
+    """``fit`` runs the frozen teacher once and looks each step's rows up."""
+
+    @staticmethod
+    def setup(transform=None, seed=0):
+        from repro.experiments.presets import build_preset_model
+
+        rng = np.random.default_rng(seed)
+        images = rng.standard_normal((50, 3, 8, 8))
+        labels = rng.integers(0, 4, 50)
+        teacher = build_preset_model("vgg-small", num_classes=4, image_size=8, scale="tiny", seed=1)
+        student = build_preset_model("vgg-small", num_classes=4, image_size=8, scale="tiny", seed=2)
+        loader = DataLoader(
+            ArrayDataset(images, labels, transform=transform),
+            batch_size=16, shuffle=True, seed=seed,
+        )
+        trainer = Trainer(
+            student,
+            SGD(student.parameters(), lr=0.05, momentum=0.9),
+            loss_fn=DistillationLoss(alpha=0.5),
+            teacher=teacher,
+            divergence_rollback=True,
+        )
+        return trainer, loader
+
+    def test_cached_logits_match_per_batch_teacher(self):
+        from repro.tensor.tensor import no_grad
+
+        trainer, loader = self.setup()
+        cached = trainer.teacher_logits(loader)
+        assert cached.shape == (50, 4)
+        for indices in loader.batch_indices():
+            images, _ = loader.load(indices)
+            with no_grad():
+                fresh = trainer.teacher(Tensor(images)).data
+            # Rows of one forward do not depend on their batch-mates in
+            # value; in bits that is a property of the BLAS build.
+            np.testing.assert_allclose(cached[indices], fresh, rtol=1e-12, atol=0)
+
+    def test_fit_matches_per_batch_teacher_loop(self):
+        """A plain KD loop that runs the teacher on every batch reaches the
+        same weights, so the cache is looked up by the right rows."""
+        from repro.tensor.tensor import no_grad
+
+        trainer, loader = self.setup()
+        trainer.divergence_rollback = False
+        reference, reference_loader = self.setup()
+        trainer.fit(loader, epochs=2)
+        model = reference.model
+        for _ in range(2):
+            model.train()
+            for images, labels in reference_loader:
+                logits = model(Tensor(images))
+                with no_grad():
+                    teacher_logits = reference.teacher(Tensor(images))
+                loss = reference.loss_fn(logits, labels, teacher_logits)
+                reference.optimizer.zero_grad()
+                loss.backward()
+                reference.optimizer.step()
+        for (name, got), (_, want) in zip(
+            trainer.model.state_dict().items(), model.state_dict().items()
+        ):
+            np.testing.assert_allclose(got, want, rtol=1e-9, atol=1e-12, err_msg=name)
+
+    def test_same_seed_fits_are_identical(self):
+        states = []
+        for _ in range(2):
+            trainer, loader = self.setup()
+            trainer.fit(loader, epochs=2)
+            states.append(trainer.model.state_dict())
+        for name, value in states[0].items():
+            assert value.tobytes() == states[1][name].tobytes(), name
+
+    def test_transformed_dataset_raises(self):
+        trainer, loader = self.setup(transform=lambda images, rng: images)
+        with pytest.raises(ValueError, match="untransformed"):
+            trainer.fit(loader, epochs=1)
+
+
 class TestEvaluateModel:
     def test_matches_manual_accuracy(self):
         images, labels = separable_data()
