@@ -93,6 +93,10 @@ class Conv2d(Module):
 class _BatchNormBase(Module):
     """Shared batch-norm logic; subclasses define the reduction axes."""
 
+    #: When a list, every training forward appends its per-channel batch
+    #: ``(mean, var)`` to it; :mod:`repro.quant.bn` replays them.
+    batch_stats_log = None
+
     def __init__(self, num_features: int, eps: float = 1e-5, momentum: float = 0.1):
         super().__init__()
         self.num_features = num_features
@@ -110,16 +114,22 @@ class _BatchNormBase(Module):
     def _param_shape(self, x: Tensor):
         raise NotImplementedError
 
+    def update_running_stats(self, mean: np.ndarray, var: np.ndarray) -> None:
+        """Fold one training batch's per-channel statistics into the running
+        averages (exponential moving average with ``momentum``)."""
+        m = self.momentum
+        self._set_buffer("running_mean", (1 - m) * self.running_mean + m * mean)
+        self._set_buffer("running_var", (1 - m) * self.running_var + m * var)
+        self._set_buffer("num_batches_tracked", self.num_batches_tracked + 1)
+
     def forward(self, x: Tensor) -> Tensor:
         axes = self._axes(x)
         if self.training:
             out, mean, var = F.batch_norm(x, self.weight, self.bias, axes, self.eps)
-            m = self.momentum
-            new_mean = (1 - m) * self.running_mean + m * mean.reshape(-1)
-            new_var = (1 - m) * self.running_var + m * var.reshape(-1)
-            self._set_buffer("running_mean", new_mean)
-            self._set_buffer("running_var", new_var)
-            self._set_buffer("num_batches_tracked", self.num_batches_tracked + 1)
+            mean, var = mean.reshape(-1), var.reshape(-1)
+            if self.batch_stats_log is not None:
+                self.batch_stats_log.append((mean, var))
+            self.update_running_stats(mean, var)
             return out
         # Eval keeps the composite graph: a fused node measured slower on
         # the small serving batches that run this path.

@@ -139,7 +139,6 @@ def _activation_spec(layer: Module, name: str) -> Tuple[Optional[int], float]:
     forward, which skips quantization for a degenerate range).
     """
     if layer.act_quant_enabled and layer.act_bits is not None:
-        layer._sync_observer_from_buffer()
         if not layer.act_observer.initialized:
             raise RuntimeError(
                 f"layer {name or type(layer).__name__!r} has activation "

@@ -86,14 +86,15 @@ class _QuantMixin:
             ),
         )
 
-    def _sync_observer_from_buffer(self) -> None:
-        """Restore observer state after ``load_state_dict`` (the buffer is
-        authoritative when it records more batches than the live observer)."""
-        buffered_batches = int(self.act_range[2])
-        if buffered_batches > self.act_observer.num_batches:
+    def _set_buffer(self, name: str, value: np.ndarray) -> None:
+        """Every write of ``act_range`` — ``load_state_dict`` included —
+        moves the live observer with it, so a reloaded (e.g. rolled back)
+        state predicts with the activation ranges it holds."""
+        super()._set_buffer(name, value)
+        if name == "act_range":
             self.act_observer.min_value = float(self.act_range[0])
             self.act_observer.max_value = float(self.act_range[1])
-            self.act_observer.num_batches = buffered_batches
+            self.act_observer.num_batches = int(self.act_range[2])
 
     def effective_weight(self) -> Tensor:
         if not self.weight_quant_enabled:
@@ -103,7 +104,6 @@ class _QuantMixin:
     def _maybe_quantize_input(self, x: Tensor) -> Tensor:
         if not self.act_quant_enabled or self.act_bits is None:
             return x
-        self._sync_observer_from_buffer()
         if self.training or self.calibrating or not self.act_observer.initialized:
             self.act_observer.observe(x.data)
             self._sync_observer_to_buffer()

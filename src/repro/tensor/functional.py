@@ -12,6 +12,7 @@ from __future__ import annotations
 from typing import Optional, Tuple, Union
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from repro.tensor.tensor import Tensor, _axis_size, unbroadcast
 
@@ -46,24 +47,44 @@ def im2col(
 ) -> np.ndarray:
     """Unfold NCHW input into convolution columns.
 
-    Returns an array of shape ``(N, C * KH * KW, OH * OW)`` where column
-    ``o`` holds the receptive field of output position ``o``.
+    Returns a fresh C-contiguous array of shape ``(N, C * KH * KW, OH * OW)``
+    where column ``o`` holds the receptive field of output position ``o``.
+    The columns are one copy of a ``(N, C, KH, KW, OH, OW)`` strided view
+    of the (zero-padded) input; the result never aliases ``x``.
     """
     kh, kw = kernel
     sh, sw = stride
     ph, pw = padding
-    if ph or pw:
-        x = np.pad(x, ((0, 0), (0, 0), (ph, ph), (pw, pw)))
     n, c, h, w = x.shape
+    if ph or pw:
+        padded = np.zeros((n, c, h + 2 * ph, w + 2 * pw), dtype=x.dtype)
+        padded[:, :, ph : ph + h, pw : pw + w] = x
+        x = padded
+        h, w = h + 2 * ph, w + 2 * pw
     oh = (h - kh) // sh + 1
     ow = (w - kw) // sw + 1
-    cols = np.empty((n, c, kh, kw, oh, ow), dtype=x.dtype)
-    for i in range(kh):
-        i_end = i + sh * oh
-        for j in range(kw):
-            j_end = j + sw * ow
-            cols[:, :, i, j, :, :] = x[:, :, i:i_end:sh, j:j_end:sw]
-    return cols.reshape(n, c * kh * kw, oh * ow)
+    sn, sc, s_row, s_col = x.strides
+    windows = as_strided(
+        x,
+        shape=(n, c, kh, kw, oh, ow),
+        strides=(sn, sc, s_row, s_col, s_row * sh, s_col * sw),
+        writeable=False,
+    )
+    # copy() always copies (a bare reshape would return a view, aliasing
+    # x, for 1x1 or whole-image kernels); the reshape then never copies.
+    return windows.copy().reshape(n, c * kh * kw, oh * ow)
+
+
+def _clip(offset: int, pad: int, stride: int, out: int, size: int):
+    """For kernel offset ``offset`` along one axis: the outputs ``o`` whose
+    input index ``offset - pad + stride * o`` lies in ``[0, size)``, and
+    those input indices, as a pair of slices (None if there are none)."""
+    first = max(0, -((offset - pad) // stride))
+    last = min(out, (size - 1 - offset + pad) // stride + 1)
+    if last <= first:
+        return None
+    start = offset - pad + stride * first
+    return slice(first, last), slice(start, start + stride * (last - first - 1) + 1, stride)
 
 
 def col2im(
@@ -73,23 +94,29 @@ def col2im(
     stride: Tuple[int, int],
     padding: Tuple[int, int],
 ) -> np.ndarray:
-    """Adjoint of :func:`im2col`: scatter-add columns back to NCHW."""
+    """Adjoint of :func:`im2col`: scatter-add columns back to NCHW.
+
+    Accumulates straight into an unpadded ``(N, C, H, W)`` array, each
+    kernel offset (i, j) clipped to the outputs that land inside the
+    image. The (i, j) order is kept, so every sum is bitwise the same as
+    a scatter into a padded buffer.
+    """
     kh, kw = kernel
     sh, sw = stride
     ph, pw = padding
     n, c, h, w = input_shape
-    hp, wp = h + 2 * ph, w + 2 * pw
-    oh = (hp - kh) // sh + 1
-    ow = (wp - kw) // sw + 1
+    oh = (h + 2 * ph - kh) // sh + 1
+    ow = (w + 2 * pw - kw) // sw + 1
     cols = cols.reshape(n, c, kh, kw, oh, ow)
-    x = np.zeros((n, c, hp, wp), dtype=cols.dtype)
+    x = np.zeros((n, c, h, w), dtype=cols.dtype)
+    col_clips = [_clip(j, pw, sw, ow, w) for j in range(kw)]
     for i in range(kh):
-        i_end = i + sh * oh
-        for j in range(kw):
-            j_end = j + sw * ow
-            x[:, :, i:i_end:sh, j:j_end:sw] += cols[:, :, i, j, :, :]
-    if ph or pw:
-        x = x[:, :, ph : hp - ph, pw : wp - pw]
+        rows = _clip(i, ph, sh, oh, h)
+        if rows is None:
+            continue
+        for j, columns in enumerate(col_clips):
+            if columns is not None:
+                x[:, :, rows[1], columns[1]] += cols[:, :, i, j, rows[0], columns[0]]
     return x
 
 

@@ -102,8 +102,9 @@ class TestActivationRangePersistence:
         np.testing.assert_allclose(other(x).data, expected, atol=1e-12)
 
     def test_live_observer_beats_stale_buffer(self):
-        """A fresher live observer must not be clobbered by an older
-        buffered range."""
+        """Training forwards advance the live observer and keep the
+        ``act_range`` buffer in step with it (a reload, by contrast, is
+        authoritative: see TestReloadIsAuthoritative)."""
         model = make_quantized()
         layer = quantized_layers(model)["fc1"]
         model.train()
@@ -114,3 +115,59 @@ class TestActivationRangePersistence:
         assert layer.act_observer.num_batches > batches_after_one
         # Buffer stays in sync with the live observer.
         assert int(layer.act_range[2]) == layer.act_observer.num_batches
+
+
+def quantized_image_mlp(seed):
+    model = MLP(3 * 8 * 8, (16, 12), 4, rng=np.random.default_rng(seed))
+    return quantize_model(model, max_bits=4, act_bits=2)
+
+
+def train_loader(dataset, images):
+    from repro.data import ArrayDataset, DataLoader
+
+    return DataLoader(
+        ArrayDataset(images, dataset.train_labels), batch_size=25, shuffle=True, seed=0
+    )
+
+
+def eval_logits(model, x):
+    model.eval()
+    return model(Tensor(x)).data
+
+
+class TestReloadIsAuthoritative:
+    """``load_state_dict`` must move the live observers with the loaded
+    ``act_range`` buffers, even to a range older than the live one."""
+
+    def test_reloaded_snapshot_predicts_like_a_fresh_load(self, tiny_dataset):
+        from repro.optim import SGD
+        from repro.train import Trainer
+
+        model = quantized_image_mlp(0)
+        trainer = Trainer(model, SGD(model.parameters(), lr=0.05, momentum=0.9))
+        trainer.fit(train_loader(tiny_dataset, tiny_dataset.train_images), epochs=2)
+        snapshot = model.state_dict()
+        # Training on brighter inputs widens every live activation range.
+        trainer.fit(train_loader(tiny_dataset, 4.0 * tiny_dataset.train_images), epochs=2)
+        model.load_state_dict(snapshot)
+        fresh = quantized_image_mlp(1)
+        fresh.load_state_dict(snapshot)
+
+        fresh_layers = quantized_layers(fresh)
+        for name, layer in quantized_layers(model).items():
+            assert layer.act_observer.state_dict() == fresh_layers[name].act_observer.state_dict()
+        x = tiny_dataset.test_images
+        assert eval_logits(model, x).tobytes() == eval_logits(fresh, x).tobytes()
+
+    def test_divergence_rollback_restores_the_observers(self, tiny_dataset):
+        from repro.optim import SGD
+        from repro.train import Trainer
+
+        model = quantized_image_mlp(0)
+        trainer = Trainer(model, SGD(model.parameters(), lr=500.0), divergence_rollback=True)
+        trainer.fit(train_loader(tiny_dataset, tiny_dataset.train_images), epochs=1)
+        assert trainer.rollbacks == 1
+        fresh = quantized_image_mlp(1)
+        fresh.load_state_dict(model.state_dict())
+        x = tiny_dataset.test_images
+        assert eval_logits(model, x).tobytes() == eval_logits(fresh, x).tobytes()

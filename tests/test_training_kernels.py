@@ -1,10 +1,12 @@
-"""Bit-exactness of the fused training kernels against composite references.
+"""Bit-exactness of the training kernels against the implementations they replaced.
 
-``F.batch_norm`` (training batch norm as one autograd node) and the
-strided-view ``F.max_pool2d`` must reproduce, bit for bit, the composite
-graph and the im2col/col2im pool they replaced: KD refine's outputs
-(and with them the packed artifacts) may not change by a single bit.
-The references below are those replaced implementations, kept here.
+``F.batch_norm`` (training batch norm as one autograd node), the
+strided-view ``F.max_pool2d``, the single-copy ``im2col`` and the
+clipped ``col2im`` must reproduce, bit for bit, the composite graph,
+the im2col/col2im pool and the slice-loop kernels they replaced: KD
+refine's outputs (and with them the packed artifacts) may not change by
+a single bit. The references below are those replaced implementations,
+kept here.
 """
 
 import numpy as np
@@ -43,6 +45,40 @@ def im2col_max_pool2d(x, kernel, stride):
         return ((x, grad_x.reshape(x.shape)),)
 
     return Tensor._make(out, (x,), backward, "max_pool2d")
+
+
+def loop_im2col(x, kernel, stride, padding):
+    """The ``np.pad`` + KH x KW slice-copy im2col ``F.im2col`` used to be."""
+    kh, kw = kernel
+    sh, sw = stride
+    ph, pw = padding
+    if ph or pw:
+        x = np.pad(x, ((0, 0), (0, 0), (ph, ph), (pw, pw)))
+    n, c, h, w = x.shape
+    oh = (h - kh) // sh + 1
+    ow = (w - kw) // sw + 1
+    cols = np.empty((n, c, kh, kw, oh, ow), dtype=x.dtype)
+    for i in range(kh):
+        for j in range(kw):
+            cols[:, :, i, j, :, :] = x[:, :, i : i + sh * oh : sh, j : j + sw * ow : sw]
+    return cols.reshape(n, c * kh * kw, oh * ow)
+
+
+def loop_col2im(cols, input_shape, kernel, stride, padding):
+    """The padded-buffer scatter-add col2im ``F.col2im`` used to be."""
+    kh, kw = kernel
+    sh, sw = stride
+    ph, pw = padding
+    n, c, h, w = input_shape
+    hp, wp = h + 2 * ph, w + 2 * pw
+    oh = (hp - kh) // sh + 1
+    ow = (wp - kw) // sw + 1
+    cols = cols.reshape(n, c, kh, kw, oh, ow)
+    x = np.zeros((n, c, hp, wp), dtype=cols.dtype)
+    for i in range(kh):
+        for j in range(kw):
+            x[:, :, i : i + sh * oh : sh, j : j + sw * ow : sw] += cols[:, :, i, j, :, :]
+    return x[:, :, ph : hp - ph, pw : wp - pw]
 
 
 def _bitwise(actual, expected):
@@ -171,3 +207,85 @@ class TestStridedMaxPool:
         # Distinct values keep the finite difference away from ties.
         x = Tensor(rng.permutation(np.prod(x_shape)).reshape(x_shape) * 0.1, requires_grad=True)
         check_grad(lambda: (F.max_pool2d(x, kernel, stride) ** 2).sum(), x, atol=1e-4)
+
+
+# Kernel (KH, KW), stride and padding pairs: square, 1x1, non-square and
+# asymmetric; each runs at batch 1 and 100, on float64 and int64 (the
+# integer backend unfolds integer codes).
+UNFOLD_GEOMETRIES = [
+    ((kh, kw), (s, s), (p, p))
+    for kh, kw in [(3, 3), (1, 1), (2, 3), (3, 1)]
+    for s in (1, 2)
+    for p in (0, 1, 2)
+] + [((3, 2), (1, 2), (0, 1)), ((2, 2), (2, 1), (1, 0))]
+UNFOLD_BATCH_DTYPES = [(1, np.float64), (100, np.float64), (1, np.int64), (100, np.int64)]
+
+
+def _unfold_input(rng, batch, dtype, shape=(3, 7, 6)):
+    values = rng.standard_normal((batch,) + shape) * 4.0
+    if dtype == np.int64:
+        return np.round(values).astype(np.int64)
+    # Signed zeros must survive the copy bitwise.
+    values[values < -3.0] = -0.0
+    return values
+
+
+def _unfold_output_size(shape, kernel, stride, padding):
+    return (
+        conv_output_size(shape[-2], kernel[0], stride[0], padding[0])
+        * conv_output_size(shape[-1], kernel[1], stride[1], padding[1])
+    )
+
+
+class TestUnfoldKernels:
+    @pytest.mark.parametrize("kernel,stride,padding", UNFOLD_GEOMETRIES)
+    @pytest.mark.parametrize("batch,dtype", UNFOLD_BATCH_DTYPES)
+    def test_im2col_bitwise_equal_to_loop(self, rng, kernel, stride, padding, batch, dtype):
+        x = _unfold_input(rng, batch, dtype)
+        cols = im2col(x, kernel, stride, padding)
+        _bitwise(cols, loop_im2col(x, kernel, stride, padding))
+        assert cols.flags.c_contiguous and cols.flags.writeable
+        assert not np.shares_memory(cols, x)
+
+    @pytest.mark.parametrize("kernel,stride,padding", UNFOLD_GEOMETRIES)
+    @pytest.mark.parametrize("batch,dtype", UNFOLD_BATCH_DTYPES)
+    def test_col2im_bitwise_equal_to_loop(self, rng, kernel, stride, padding, batch, dtype):
+        shape = (batch, 3, 7, 6)
+        rows = 3 * kernel[0] * kernel[1]
+        cols = _unfold_input(
+            rng, batch, dtype, (rows, _unfold_output_size(shape, kernel, stride, padding))
+        )
+        _bitwise(
+            col2im(cols, shape, kernel, stride, padding),
+            np.ascontiguousarray(loop_col2im(cols, shape, kernel, stride, padding)),
+        )
+
+    @pytest.mark.parametrize("kernel,stride,padding", UNFOLD_GEOMETRIES)
+    def test_adjoint_identity(self, rng, kernel, stride, padding):
+        shape = (2, 3, 7, 6)
+        x = rng.standard_normal(shape)
+        y = rng.standard_normal(
+            (2, 3 * kernel[0] * kernel[1], _unfold_output_size(shape, kernel, stride, padding))
+        )
+        lhs = float(np.sum(im2col(x, kernel, stride, padding) * y))
+        rhs = float(np.sum(x * col2im(y, shape, kernel, stride, padding)))
+        np.testing.assert_allclose(lhs, rhs, rtol=1e-12)
+
+    @pytest.mark.parametrize("kernel", [(1, 1), (7, 6)])
+    def test_im2col_copies_when_a_reshape_would_alias(self, rng, kernel):
+        # A 1x1 kernel, or one covering the whole image, unpadded at
+        # stride 1 is a plain reshape of the input: it must still copy.
+        x = rng.standard_normal((2, 3, 7, 6))
+        cols = im2col(x, kernel, (1, 1), (0, 0))
+        _bitwise(cols, loop_im2col(x, kernel, (1, 1), (0, 0)))
+        assert not np.shares_memory(cols, x)
+        cols[...] = 0.0
+        assert np.any(x != 0.0)
+
+    def test_im2col_of_strided_read_only_view(self, rng):
+        base = rng.standard_normal((6, 2, 8, 7))
+        x = base[::2, :, ::-1, :].transpose(0, 1, 3, 2)
+        x.flags.writeable = False
+        cols = im2col(x, (3, 2), (2, 1), (1, 1))
+        _bitwise(cols, loop_im2col(x, (3, 2), (2, 1), (1, 1)))
+        assert cols.flags.writeable and not np.shares_memory(cols, base)
